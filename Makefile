@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race vet fuzz soak bench benchrace metricssmoke journeysmoke burstsmoke ccsmoke cssmoke churnsmoke intsmoke benchguard clean
+.PHONY: build test check race vet fuzz soak bench benchrace metricssmoke journeysmoke burstsmoke udpsmoke ccsmoke cssmoke churnsmoke intsmoke benchguard clean
 
 build:
 	$(GO) build ./...
@@ -23,8 +23,9 @@ race:
 # the tiered content-store smoke (never-block acceptance + E20 sweep), the
 # control-plane smoke (route-exchange reconvergence scenarios + a
 # scaled-down E21 churn run with its built-in oracle), and the in-band
-# telemetry smoke (digest oracles + live dip_int_* scrape).
-check: vet race benchrace fuzz metricssmoke journeysmoke burstsmoke ccsmoke cssmoke churnsmoke intsmoke
+# telemetry smoke (digest oracles + live dip_int_* scrape), and the socket
+# dataplane smoke (loopback ServeUDP harness under -race + its 0-alloc pin).
+check: vet race benchrace fuzz metricssmoke journeysmoke burstsmoke udpsmoke ccsmoke cssmoke churnsmoke intsmoke
 
 # Short benchstat-friendly run of the forwarding hot-path benchmarks
 # (compare runs with: make bench > old.txt; ...; make bench > new.txt;
@@ -127,6 +128,15 @@ burstsmoke:
 	@set -e; out=$$($(GO) run ./cmd/dipbench -experiment burst -rounds 5); \
 	echo "$$out"; echo "$$out" | grep -q 'speedup' \
 		|| { echo "burstsmoke: scaling run produced no speedup line"; exit 1; }
+
+# Socket dataplane smoke: the loopback ServeUDP harness with the reader as
+# the forwarder and with two forwarder goroutines, under the race detector
+# (exact egress bytes, per-flow order, no loss or duplication, port
+# attribution incl. dual-stack, Inject while the reader blocks, stall
+# visibility), plus the 0-alloc pin of one datagram read → forward → send.
+udpsmoke:
+	$(GO) test -race -count=1 -run 'ServeUDP' ./internal/router/
+	$(GO) test -count=1 -run 'TestZeroAllocServeUDP' .
 
 # Congestion-control smoke: the fleet smoke (every object completes, zero
 # dead letters, Jain >= 0.9), the chaos acceptance tests (adaptive beats

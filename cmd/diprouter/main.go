@@ -33,13 +33,18 @@
 //	-maxfns N         per-packet FN budget (security limit, §2.4)
 //	-v                log every packet decision
 //
-// Overload hardening (the ingress guard layer):
+// Overload hardening (the ingress guard layer every datagram crosses:
+// classification, admission control, control-first queues, quarantine):
 //
-//	-workers N        drain packets through N guarded forwarders instead of
-//	                  inline (enables the priority queues, admission
-//	                  control, and panic quarantine); each flow is pinned
-//	                  to one forwarder by a hash of its FN locations
-//	-queue N          per-class queue depth per forwarder (default 256)
+//	-workers N        forwarders (default 1: the socket reader is the
+//	                  forwarder, running each datagram to completion in its
+//	                  read buffer); N > 1 copies each datagram to one of N
+//	                  forwarder goroutines, each flow pinned to one by a
+//	                  hash of its FN locations
+//	-queue N          per-class queue depth per forwarder (default 256); it
+//	                  also sizes the socket receive buffer, which absorbs
+//	                  forwarder stalls: 2N datagrams at 2 KiB, capped by
+//	                  net.core.rmem_max (the granted size is logged)
 //	-batch N          run-to-completion burst size: each forwarder takes up
 //	                  to N packets per queue visit and runs them all before
 //	                  returning (default 64; 1 = packet at a time)
@@ -94,6 +99,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"net/netip"
 	"os"
 	"strconv"
 	"strings"
@@ -128,8 +134,8 @@ func main() {
 		secretHex = flag.String("secret", "", "16-byte hex DRKey secret (enables OPT ops)")
 		maxFNs    = flag.Int("maxfns", 0, "per-packet FN budget (0 = wire max)")
 		verbose   = flag.Bool("v", false, "log packets")
-		workers   = flag.Int("workers", 0, "guarded forwarding workers (0 = handle inline)")
-		queueLen  = flag.Int("queue", 256, "per-class ingress queue depth")
+		workers   = flag.Int("workers", 1, "forwarders (1 = the socket reader is the forwarder)")
+		queueLen  = flag.Int("queue", 256, "per-class ingress queue depth (also sizes the socket receive buffer)")
 		batchSize = flag.Int("batch", 0, "run-to-completion burst size per forwarder (0 = default 64)")
 		dispatch  = flag.Int("dispatch-shards", 0, "flow-dispatch table size, power of two (0 = default 256)")
 		admitPort = flag.String("admit-port", "", "per-inport admission rate:burst (pkts/s)")
@@ -369,35 +375,70 @@ func main() {
 		log.Printf("metrics on http://%v/metrics (trace: /trace, journeys: /journeys, pprof: /debug/pprof/)", bound)
 	}
 
-	portOf := map[string]int{}
+	peerAddrs := make([]netip.AddrPort, len(peers))
 	for i, p := range peers {
 		raddr, err := net.ResolveUDPAddr("udp", p)
 		if err != nil {
 			log.Fatalf("-peer %q: %v", p, err)
 		}
-		idx := r.AttachPort(dip.PortFunc(func(pkt []byte) {
-			if _, err := conn.WriteToUDP(pkt, raddr); err != nil && *verbose {
-				log.Printf("send to %v: %v", raddr, err)
-			}
-		}))
-		portOf[raddr.String()] = idx
-		// Every peer port is a route-exchange adjacency: the speaker's
-		// messages ride DIP control packets straight over the socket (not
-		// through the forwarding pipeline — they are this hop's own
-		// control traffic, not transit).
+		ap := raddr.AddrPort()
+		peerAddrs[i] = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+	}
+
+	var policy dip.AdmissionPolicy
+	limited := false
+	if *admitPort != "" {
+		rate, err := parseRate(*admitPort)
+		if err != nil {
+			log.Fatalf("-admit-port: %v", err)
+		}
+		policy.PerPort, limited = rate, true
+	}
+	if *admitBulk != "" {
+		rate, err := parseRate(*admitBulk)
+		if err != nil {
+			log.Fatalf("-admit-bulk: %v", err)
+		}
+		policy.PerClass[dip.ClassBulk], limited = rate, true
+	}
+	var admission *dip.Admission
+	if limited {
+		admission = dip.NewAdmission(policy, nil)
+	}
+	serveCfg := dip.ServeConfig{
+		Workers:        *workers,
+		HighDepth:      *queueLen,
+		LowDepth:       *queueLen,
+		Batch:          *batchSize,
+		DispatchShards: *dispatch,
+		Admission:      admission,
+		Clock:          dataClock,
+		OnSocketError:  func(err error) { log.Printf("socket: %v", err) },
+	}
+	srv := r.ServeUDP(conn, peerAddrs, serveCfg)
+	defer srv.Close()
+	if *healthDur > 0 {
+		go watchHealth(r, srv.Ingress(), *healthDur)
+	}
+
+	// ServeUDP attached peer i as port i. Every peer port is a
+	// route-exchange adjacency: the speaker's messages ride DIP control
+	// packets straight over the socket (not through the forwarding
+	// pipeline — they are this hop's own control traffic, not transit).
+	for i, peer := range peerAddrs {
 		if speakerAgent != nil {
-			speakerAgent.AddNeighbor(idx, func(msg []byte) {
+			speakerAgent.AddNeighbor(i, func(msg []byte) {
 				pkt, err := dip.BuildPacket(profiles.RouteExchange(), msg)
 				if err != nil {
 					return
 				}
-				if _, err := conn.WriteToUDP(pkt, raddr); err != nil && *verbose {
-					log.Printf("route exchange to %v: %v", raddr, err)
+				if _, err := conn.WriteToUDPAddrPort(pkt, peer); err != nil && *verbose {
+					log.Printf("route exchange to %v: %v", peer, err)
 				}
 			})
 		}
 		if *verbose {
-			log.Printf("port %d -> %v", i, raddr)
+			log.Printf("port %d -> %v", i, peer)
 		}
 	}
 	if speakerAgent != nil {
@@ -408,57 +449,11 @@ func main() {
 		}()
 	}
 
-	// With -workers the ingress guard layer owns the packets: classification,
-	// admission control, priority queues, and the panic quarantine all sit
-	// between the socket and HandlePacket.
-	handle := func(pkt []byte, inPort int) { r.HandlePacket(pkt, inPort) }
-	if *workers > 0 {
-		var policy dip.AdmissionPolicy
-		limited := false
-		if *admitPort != "" {
-			rate, err := parseRate(*admitPort)
-			if err != nil {
-				log.Fatalf("-admit-port: %v", err)
-			}
-			policy.PerPort, limited = rate, true
-		}
-		if *admitBulk != "" {
-			rate, err := parseRate(*admitBulk)
-			if err != nil {
-				log.Fatalf("-admit-bulk: %v", err)
-			}
-			policy.PerClass[dip.ClassBulk], limited = rate, true
-		}
-		var admission *dip.Admission
-		if limited {
-			admission = dip.NewAdmission(policy, nil)
-		}
-		in := r.ServeGuarded(dip.ServeConfig{
-			Workers:        *workers,
-			HighDepth:      *queueLen,
-			LowDepth:       *queueLen,
-			Batch:          *batchSize,
-			DispatchShards: *dispatch,
-			Admission:      admission,
-			Clock:          dataClock,
-		})
-		defer in.Close()
-		handle = func(pkt []byte, inPort int) {
-			// Submit transfers buffer ownership to the workers; the read
-			// loop reuses its buffer, so hand over a copy.
-			cp := make([]byte, len(pkt))
-			copy(cp, pkt)
-			in.Submit(cp, inPort)
-		}
-		if *healthDur > 0 {
-			go watchHealth(r, in, *healthDur)
-		}
-	}
-
-	// Cold-tier completions re-enter through the same handle path datagrams
-	// take: the synthesized data packet consumes the parked PIT entry and
+	// Cold-tier completions re-enter through the ingress like datagrams:
+	// the synthesized data packet consumes the parked PIT entry and
 	// replicates to the requesting ports, and the cache insert promotes the
-	// payload back to the hot tier.
+	// payload back to the hot tier. The cold index starts empty, so no cold
+	// read can complete before this callback is installed.
 	if tiered != nil {
 		tiered.SetReinject(func(cname uint32, data []byte, start, end int64) {
 			profile := dip.NDNDataProfile(cname)
@@ -486,24 +481,13 @@ func main() {
 			if *verbose {
 				log.Printf("cold read %#08x re-injected (%d bytes, %v)", cname, len(data), time.Duration(end-start))
 			}
-			handle(pkt, 0)
+			srv.Inject(pkt, 0)
 		})
 	}
 
-	log.Printf("diprouter listening on %v with %d ports", laddr, r.NumPorts())
-	buf := make([]byte, 65535)
-	for {
-		n, raddr, err := conn.ReadFromUDP(buf)
-		if err != nil {
-			log.Printf("read: %v", err)
-			continue
-		}
-		inPort := portOf[raddr.String()] // unknown senders map to port 0
-		if *verbose {
-			log.Printf("rx %d bytes from %v (port %d)", n, raddr, inPort)
-		}
-		handle(buf[:n], inPort)
-	}
+	log.Printf("diprouter listening on %v with %d ports, %d forwarder(s), socket receive buffer %d bytes",
+		laddr, r.NumPorts(), max(*workers, 1), srv.ReadBuffer())
+	srv.Wait()
 }
 
 // collectPostcard is the delivering-edge telemetry termination: sample every

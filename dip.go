@@ -236,6 +236,8 @@ type (
 	ServeConfig = router.ServeConfig
 	// Health is a point-in-time ingress guard snapshot.
 	Health = router.Health
+	// UDPServer is a router's socket dataplane (Router.ServeUDP).
+	UDPServer = router.UDPServer
 	// AdmissionPolicy configures the ingress token-bucket limiters.
 	AdmissionPolicy = guard.Policy
 	// AdmissionRate is one token-bucket configuration (zero = unlimited).

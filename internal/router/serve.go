@@ -36,6 +36,7 @@ type ServeConfig struct {
 	// Workers is the forwarding pool size. 0 selects pump mode: no
 	// goroutines are started and the caller drains the queues with Pump —
 	// the deterministic single-goroutine mode virtual-time simulations use.
+	// Under ServeUDP, 0 and 1 both make the socket reader the forwarder.
 	Workers int
 	// HighDepth and LowDepth bound the control and bulk queues of each
 	// forwarder (default 64 each). The low queue sheds first by
@@ -76,6 +77,10 @@ type ServeConfig struct {
 	// Clock supplies elapsed time for heartbeats and stall detection (the
 	// netsim Simulator's Now, or nil for wall time).
 	Clock func() time.Duration
+	// OnSocketError, when set, receives ServeUDP's non-fatal socket errors:
+	// failed reads (the loop keeps reading) and failed egress sends. It runs
+	// on the dataplane goroutine and must not block.
+	OnSocketError func(err error)
 }
 
 // Ingress is a running queue-and-forwarders front end for a router: a
@@ -116,10 +121,13 @@ type Ingress struct {
 
 	workers []workerState
 
-	// pumpPlan and pumpBurst are the workerless drain loop's burst state.
-	// Pump must not run concurrently with itself, so plain fields suffice.
-	pumpPlan  core.BurstPlan
-	pumpBurst []queuedPacket
+	// pumpMu serializes Pump, which guards the workerless drain loop's
+	// burst state. pumpWorker is the heartbeat Pump stamps when the drain
+	// loop is a watched forwarder (ServeUDP's inline reader), else nil.
+	pumpMu     sync.Mutex
+	pumpPlan   core.BurstPlan
+	pumpBurst  []queuedPacket
+	pumpWorker *workerState
 }
 
 const ingressClosedBit = int64(1) << 62
@@ -210,7 +218,12 @@ func (r *Router) Serve(workers, queueDepth int) *Ingress {
 // ServeGuarded starts the ingress guard layer: classification, admission
 // control, flow-pinned two-class burst queues, panic quarantine, and
 // worker heartbeats. Stop it with Close.
-func (r *Router) ServeGuarded(cfg ServeConfig) *Ingress {
+func (r *Router) ServeGuarded(cfg ServeConfig) *Ingress { return r.serve(cfg, false) }
+
+// serve builds and registers an ingress. watchedPump (only with Workers 0)
+// makes the workerless Pump a forwarder the watchdog sees: it stamps one
+// heartbeat, and Health reports one worker.
+func (r *Router) serve(cfg ServeConfig, watchedPump bool) *Ingress {
 	if cfg.HighDepth < 1 {
 		cfg.HighDepth = 64
 	}
@@ -281,6 +294,10 @@ func (r *Router) ServeGuarded(cfg ServeConfig) *Ingress {
 			in.pumpPlan = sampler.NewBurstPlan()
 		}
 		in.pumpBurst = make([]queuedPacket, 0, cfg.Batch)
+		if watchedPump {
+			in.workers = make([]workerState, 1)
+			in.pumpWorker = &in.workers[0]
+		}
 	}
 	r.ingress.Store(in)
 	return in
@@ -541,15 +558,20 @@ func (in *Ingress) submitChunk(pkts [][]byte, inPort int) int {
 // simulations schedule Pump from simulator events so queue service happens
 // in deterministic order inside virtual time — burst-shaped, but with no
 // goroutine interleaving to perturb it. Pump must not run concurrently
-// with itself or with goroutine workers.
+// with goroutine workers; concurrent Pump calls are serialized, so a
+// packet submitted before Pump is called has been processed when it
+// returns. Pump must not be called from inside the pipeline (a Port's
+// Send or a LocalDelivery callback).
 func (in *Ingress) Pump() int {
+	in.pumpMu.Lock()
+	defer in.pumpMu.Unlock()
 	n := 0
 	for {
 		in.pumpBurst = in.queues[0].collect(in.pumpBurst[:0], in.cfg.Batch, false)
 		if len(in.pumpBurst) == 0 {
 			return n
 		}
-		in.runBurst(in.pumpBurst, nil, in.pumpPlan)
+		in.runBurst(in.pumpBurst, in.pumpWorker, in.pumpPlan)
 		n += len(in.pumpBurst)
 	}
 }
@@ -580,7 +602,7 @@ func (in *Ingress) Close() {
 			q.ready.Broadcast()
 			q.mu.Unlock()
 		}
-		if len(in.workers) == 0 {
+		if in.cfg.Workers == 0 {
 			in.Pump() // workerless mode: drain what remains inline
 		}
 		in.wg.Wait()
@@ -592,7 +614,8 @@ func (in *Ingress) Close() {
 // per class, everything the guards turned away, quarantine volume, and
 // worker liveness.
 type Health struct {
-	// Workers is the forwarding pool size (0 in pump mode).
+	// Workers is the forwarding pool size: 0 in pump mode, 1 when
+	// ServeUDP's socket reader is the forwarder.
 	Workers int
 	// Stalled counts workers that have been busy on a single burst for
 	// longer than the stall threshold.

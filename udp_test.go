@@ -7,6 +7,7 @@ package dip
 import (
 	"bytes"
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 )
@@ -21,6 +22,8 @@ func udpConn(t *testing.T) *net.UDPConn {
 	return conn
 }
 
+func udpAddrPort(c *net.UDPConn) netip.AddrPort { return c.LocalAddr().(*net.UDPAddr).AddrPort() }
+
 func TestUDPOverlayNDNExchange(t *testing.T) {
 	routerConn := udpConn(t)
 	consumerConn := udpConn(t)
@@ -31,32 +34,9 @@ func TestUDPOverlayNDNExchange(t *testing.T) {
 	state := NewNodeState()
 	state.NameFIB.AddUint32(0xAA000000, 8, NextHop{Port: 1})
 	r := NewRouter(state.OpsConfig(), RouterOptions{Name: "udp-router"})
-	sendTo := func(addr net.Addr) Port {
-		return PortFunc(func(pkt []byte) {
-			routerConn.WriteTo(pkt, addr)
-		})
-	}
-	r.AttachPort(sendTo(consumerConn.LocalAddr()))
-	r.AttachPort(sendTo(producerConn.LocalAddr()))
-
-	// Router loop: attribute ingress port by source address.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		buf := make([]byte, 65535)
-		for {
-			routerConn.SetReadDeadline(time.Now().Add(2 * time.Second))
-			n, raddr, err := routerConn.ReadFromUDP(buf)
-			if err != nil {
-				return
-			}
-			inPort := 0
-			if raddr.String() == producerConn.LocalAddr().String() {
-				inPort = 1
-			}
-			r.HandlePacket(buf[:n], inPort)
-		}
-	}()
+	// Datagrams are attributed to ports by their sender's address.
+	srv := r.ServeUDP(routerConn, []netip.AddrPort{udpAddrPort(consumerConn), udpAddrPort(producerConn)}, ServeConfig{})
+	defer srv.Close()
 
 	// Producer loop: answer any interest with data.
 	go func() {
@@ -99,8 +79,6 @@ func TestUDPOverlayNDNExchange(t *testing.T) {
 		t.Fatalf("rx %v payload %q", rx.Kind, rx.Payload)
 	}
 
-	routerConn.Close()
-	<-done
 }
 
 func TestUDPOverlayOPTVerification(t *testing.T) {
@@ -123,18 +101,8 @@ func TestUDPOverlayOPTVerification(t *testing.T) {
 	state.EnableOPT(sv, MAC2EM, [16]byte{}, 0)
 	state.FIB32.AddUint32(0, 0, NextHop{Port: 0})
 	r := NewRouter(state.OpsConfig(), RouterOptions{})
-	r.AttachPort(PortFunc(func(pkt []byte) {
-		routerConn.WriteTo(pkt, consumerConn.LocalAddr())
-	}))
-	go func() {
-		buf := make([]byte, 65535)
-		routerConn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		n, _, err := routerConn.ReadFromUDP(buf)
-		if err != nil {
-			return
-		}
-		r.HandlePacket(buf[:n], 0)
-	}()
+	srv := r.ServeUDP(routerConn, []netip.AddrPort{udpAddrPort(consumerConn)}, ServeConfig{})
+	defer srv.Close()
 
 	// Source: OPT profile composed with DIP-32 forwarding in one header —
 	// protocol composition over real sockets.

@@ -1,7 +1,9 @@
 package dip
 
 import (
+	"net/netip"
 	"testing"
+	"time"
 
 	"dip/internal/core"
 )
@@ -136,6 +138,44 @@ func TestZeroAllocBurstPath(t *testing.T) {
 	run() // warm the context pool and lazy state before counting
 	if n := testing.AllocsPerRun(100, run); n != 0 {
 		t.Fatalf("burst path allocates %.1f/burst, want 0", n)
+	}
+}
+
+// TestZeroAllocServeUDP pins the socket dataplane with the reader as the
+// forwarder (Workers: 1): one datagram on loopback through the socket read,
+// the AddrPort port lookup, classification and admission, the engine (with
+// the default metrics recorder), and the egress WriteToUDPAddrPort must
+// stay at 0 allocs/packet. AllocsPerRun counts every goroutine's
+// allocations, so the router's reader is measured too.
+func TestZeroAllocServeUDP(t *testing.T) {
+	state := NewNodeState()
+	state.FIB32.AddUint32(0x0A000000, 8, NextHop{Port: 1})
+	r := NewRouter(state.OpsConfig(), RouterOptions{Metrics: &Metrics{}})
+	rconn, gen, sink := udpConn(t), udpConn(t), udpConn(t)
+	srv := r.ServeUDP(rconn, []netip.AddrPort{udpAddrPort(gen), udpAddrPort(sink)}, ServeConfig{Workers: 1})
+	defer srv.Close()
+	p, err := BuildPacket(IPv4Profile([4]byte{1, 1, 1, 1}, [4]byte{10, 0, 0, 9}), make([]byte, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	to := udpAddrPort(rconn)
+	if err := sink.SetReadDeadline(time.Now().Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 2048)
+	run := func() {
+		if _, err := gen.WriteToUDPAddrPort(p, to); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := sink.Read(buf); err != nil || n != len(p) {
+			t.Fatalf("egress: %d bytes, %v", n, err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		run() // warm the context pool and lazy state before counting
+	}
+	if n := testing.AllocsPerRun(200, run); n != 0 {
+		t.Fatalf("socket dataplane allocates %.2f/packet, want 0", n)
 	}
 }
 
