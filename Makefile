@@ -149,14 +149,20 @@ ccsmoke:
 	echo "$$out"; echo "$$out" | grep -q '^  aimd .*bps' \
 		|| { echo "ccsmoke: E19 run produced no aimd goodput row"; exit 1; }
 
-# Tiered content-store smoke: the arena/tier unit + race tests, the
+# Tiered content-store smoke: the store/arena/tier unit and race tests
+# under -race (copy-out reads racing refreshing and recycling Puts), the
+# router's content-store tests under -race (cache replies from two
+# forwarders and from parallel waves while names are re-inserted), the
 # never-block acceptance pins (cold read gated in flight while the hot
-# path keeps serving; interest aggregation; zero-alloc hot hit; metrics
-# surface), the cscold= DSL scenario, and a short E20 catalog sweep
-# checking per-tier hit ratios shift while hot latency holds.
+# path keeps serving; interest aggregation; metrics surface), the
+# content-store zero-alloc pins (hot and tiered hits, copy-out, Put into
+# a full store, a cache-hit reply through the burst path), the cscold=
+# DSL scenario, and a short E20 catalog sweep checking per-tier hit
+# ratios shift while hot latency holds.
 cssmoke:
-	$(GO) test ./internal/cs/
-	$(GO) test -run 'TestColdReadNeverBlocksForwarder|TestColdInterestAggregation|TestTieredMetricsExported|TestZeroAllocTieredHotHit' .
+	$(GO) test -race -count=1 ./internal/cs/
+	$(GO) test -race -count=1 -run 'CacheRace|TestCacheReply' ./internal/router/
+	$(GO) test -count=1 -run 'TestColdReadNeverBlocksForwarder|TestColdInterestAggregation|TestTieredMetricsExported|TestZeroAllocTieredHotHit|TestZeroAllocContentStore|TestZeroAllocCacheHitReply' .
 	$(GO) test -run 'TestColdTierScenario' ./internal/topo/
 	@set -e; out=$$($(GO) run ./cmd/dipbench -experiment cstier -trials 200 -rounds 5); \
 	echo "$$out"; echo "$$out" | grep -q '^  65536 ' \

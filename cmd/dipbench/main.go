@@ -1120,7 +1120,7 @@ func csTier() {
 		for i := 0; i < catalog; i++ {
 			name := uint32(0xE2000000 + i)
 			ts.Put(name, payload)
-			ts.GetHot(name)
+			ts.AppendGetHot(nil, name)
 		}
 		// Fixed-seed uniform stream over the whole catalog: the per-tier
 		// split is the capacity story (catalog <= hotCap serves from RAM;
@@ -1130,7 +1130,7 @@ func csTier() {
 		const streamLen = 4096
 		for i := 0; i < streamLen; i++ {
 			name := uint32(0xE2000000 + r.Intn(catalog))
-			if _, ok := ts.GetHot(name); ok {
+			if _, ok := ts.AppendGetHot(nil, name); ok {
 				continue
 			}
 			if ts.ColdContains(name) {
@@ -1144,15 +1144,16 @@ func csTier() {
 		hotPct := 100 * float64(hotHits) / served
 		coldPct := 100 * float64(coldHits) / served
 
-		// Hot-hit latency: one resident name hammered through GetHot. This
-		// is the row benchguard holds flat across catalog sizes — the cold
-		// tier must not tax the RAM fast path.
+		// Hot-hit latency: one resident name hammered through AppendGetHot
+		// into a reused buffer, as F_FIB reads it. This is the row
+		// benchguard holds flat across catalog sizes — the cold tier must
+		// not tax the RAM fast path.
 		hotName := uint32(0xE2000000)
 		ts.Put(hotName, payload)
-		ts.GetHot(hotName)
+		hotBuf, _ := ts.AppendGetHot(nil, hotName)
 		hotNs := measure(fmt.Sprintf("cstier/cat%d/hotget", catalog), func(n int) {
 			for i := 0; i < n; i++ {
-				ts.GetHot(hotName)
+				hotBuf, _ = ts.AppendGetHot(hotBuf[:0], hotName)
 			}
 		})
 

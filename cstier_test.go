@@ -76,7 +76,7 @@ func (rig *tieredRig) preload(t *testing.T, n int) {
 	for i := 0; i < n; i++ {
 		name := uint32(0xAA000000 + i)
 		rig.tiered.Put(name, payload)
-		rig.tiered.GetHot(name) // touch: admit to cold on eviction
+		rig.tiered.AppendGetHot(nil, name) // touch: admit to cold on eviction
 	}
 	// Spills ride the async queue; wait until the worker has indexed every
 	// eviction so cold lookups below are deterministic.
@@ -167,7 +167,7 @@ func TestColdReadNeverBlocksForwarder(t *testing.T) {
 	}
 	// Re-injection runs the data packet through F_PIT, whose cache insert
 	// promotes the payload: the next interest for it is a hot hit.
-	if _, ok := rig.tiered.GetHot(coldName); !ok {
+	if _, ok := rig.tiered.AppendGetHot(nil, coldName); !ok {
 		t.Fatal("cold payload not promoted to hot tier after re-injection")
 	}
 }

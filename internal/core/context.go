@@ -126,9 +126,20 @@ type ExecContext struct {
 	// require-pass mode (content-poisoning defense, §2.4).
 	Passed bool
 
-	// Cached is set (pointing into the content store) when an interest was
-	// satisfied locally; the router synthesizes the data reply from it.
+	// Cached is set when an interest was satisfied locally; the router
+	// synthesizes the data reply from it. It points into CacheBuf, never
+	// into the content store.
 	Cached []byte
+
+	// CacheBuf and ReplyBuf are context-owned scratch that Reset keeps, so
+	// a context reused across packets (a forwarder's, or a pooled one)
+	// reuses them packet after packet. Content-store hits
+	// are copied into CacheBuf[:0] under the store's shard lock, and the
+	// router builds the cache-reply packet into ReplyBuf[:0]. Both grow to
+	// the largest object seen. Whoever is handed a slice of them (a Port's
+	// Send) must not keep it past the call.
+	CacheBuf []byte
+	ReplyBuf []byte
 
 	// SourceLoc/SourceLen record the operand of an F_source FN, letting the
 	// router address FN-unsupported messages back to the packet's source.
@@ -162,7 +173,7 @@ type ExecContext struct {
 	// packet's burst was picked up, and how many packets were queued behind
 	// it at that moment. F_tel folds them into the hop record (per-hop
 	// latency, queue depth at admission). They are burst-scoped — stamped
-	// once per burst on the pooled context — so Reset deliberately leaves
+	// once per burst on the forwarder's context — so Reset deliberately leaves
 	// them alone; single-packet entry points zero them instead. Zero means
 	// "unknown": F_tel then records no latency and falls back to its own
 	// depth provider.
@@ -180,7 +191,9 @@ type ExecContext struct {
 }
 
 // Reset prepares the context for a new packet. The view must already be
-// parsed. Limits are re-armed from the engine on each Process call.
+// parsed. Limits are re-armed from the engine on each Process call. The
+// scratch buffers (CacheBuf, ReplyBuf) and the burst-scoped admission
+// fields are kept.
 func (c *ExecContext) Reset(v View, inPort int) {
 	c.View = v
 	c.InPort = inPort
@@ -198,6 +211,17 @@ func (c *ExecContext) Reset(v View, inPort int) {
 	c.Sample = SampleAuto
 	c.MonoNow = 0
 	c.stateBudget = -1
+}
+
+// SetCached records a content-store hit whose payload the caller appended
+// to CacheBuf[:0]: the (possibly grown) buffer becomes the context's
+// scratch and Cached points at it. An empty payload is still a hit, so
+// Cached is never nil afterwards.
+func (c *ExecContext) SetCached(data []byte) {
+	if data == nil {
+		data = []byte{}
+	}
+	c.CacheBuf, c.Cached = data, data
 }
 
 // AddEgress records an output port. Duplicate ports collapse; overflow

@@ -287,7 +287,9 @@ type staged struct {
 // waveCtxs is a pooled scratch buffer of context copies for one parallel
 // wave. Pooling it keeps steady-state parallel processing from allocating a
 // fresh copy slice per wave; the slice grows to the widest wave seen and is
-// scrubbed of packet references before going back to the pool.
+// scrubbed of packet references before going back to the pool. Each copy
+// keeps its own CacheBuf across pooling: a copy must never write into the
+// original context's scratch, which its siblings would share.
 type waveCtxs struct {
 	copies []ExecContext
 }
@@ -306,7 +308,9 @@ func (e *Engine) runWave(reg *Registry, ctx *ExecContext, wave []staged) {
 	var wg sync.WaitGroup
 	wg.Add(len(wave))
 	for i := range wave {
+		own := copies[i].CacheBuf[:0]
 		copies[i] = *ctx
+		copies[i].CacheBuf, copies[i].ReplyBuf = own, nil
 		// Pass the copy pointer and FN by value so the goroutine closure
 		// does not capture wave, whose backing array is the caller's stack.
 		go func(c *ExecContext, fn FN) {
@@ -340,7 +344,9 @@ func (e *Engine) runWave(reg *Registry, ctx *ExecContext, wave []staged) {
 			ctx.Passed = true
 		}
 		if c.Cached != nil && ctx.Cached == nil {
-			ctx.Cached = c.Cached
+			// Copy the hit out of the copy's scratch into the context's
+			// own, which outlives the wave.
+			ctx.SetCached(append(ctx.CacheBuf[:0], c.Cached...))
 		}
 		if c.HasSource && !ctx.HasSource {
 			ctx.SourceLoc, ctx.SourceLen, ctx.HasSource = c.SourceLoc, c.SourceLen, true
@@ -356,7 +362,8 @@ func (e *Engine) runWave(reg *Registry, ctx *ExecContext, wave []staged) {
 		}
 	}
 	for i := range copies {
-		copies[i] = ExecContext{} // drop packet references before pooling
+		// Drop packet references before pooling; keep the copy's scratch.
+		copies[i] = ExecContext{CacheBuf: copies[i].CacheBuf[:0]}
 	}
 	wavePool.Put(wc)
 }

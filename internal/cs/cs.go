@@ -10,6 +10,11 @@
 // globally, the standard trade sharded caches make. New keeps a single
 // shard (exact LRU, the right default for the small caches tests and topo
 // scenarios build); NewSharded spreads the capacity for contended routers.
+//
+// The store owns its entries' bytes: Put copies in, AppendGet copies out
+// under the shard lock, and a full shard recycles its LRU entry's buffer
+// for the next new name, so the forwarding path neither allocates nor
+// shares memory with the store.
 package cs
 
 import (
@@ -102,7 +107,11 @@ func (s *Store[K]) shardOf(k K) *csShard[K] {
 }
 
 // Put caches data under k, copying it so the caller's buffer stays free for
-// reuse. Existing entries are refreshed and moved to the front.
+// reuse. Existing entries are refreshed in place and moved to the front. A
+// new name in a full shard takes over the LRU tail's list element and item
+// and, unless an eviction hook takes the evicted payload, its payload buffer
+// too; buffers grow to the largest payload seen, so once they have, inserts
+// into a full store allocate nothing.
 func (s *Store[K]) Put(k K, data []byte) {
 	sh := s.shardOf(k)
 	if sh.cap <= 0 {
@@ -118,29 +127,49 @@ func (s *Store[K]) Put(k K, data []byte) {
 		sh.ll.MoveToFront(el)
 		return
 	}
-	cp := append([]byte(nil), data...)
-	el := sh.ll.PushFront(&item[K]{key: k, data: cp})
-	sh.index[k] = el
-	sh.size++
-	sh.bytes += len(cp)
-	for sh.size > sh.cap {
-		s.evictOldest(sh)
+	var el *list.Element
+	if sh.size < sh.cap {
+		el = sh.ll.PushFront(&item[K]{})
+		sh.size++
+	} else {
+		el = s.recycleOldest(sh)
 	}
+	it := el.Value.(*item[K])
+	it.key, it.hits = k, 0
+	it.data = append(it.data[:0], data...)
+	sh.index[k] = el
+	sh.bytes += len(data)
+}
+
+// AppendGet appends the cached payload for k to dst and refreshes its
+// recency. The copy is made under the shard lock, so the returned bytes
+// belong to the caller and no later write to the store can change them. On
+// a miss dst is returned unchanged. This is the read the forwarding path
+// uses: with a dst of sufficient capacity it allocates nothing.
+func (s *Store[K]) AppendGet(dst []byte, k K) ([]byte, bool) {
+	sh := s.shardOf(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	it := sh.touch(k)
+	if it == nil {
+		return dst, false
+	}
+	return append(dst, it.data...), true
 }
 
 // Get returns the cached payload for k and refreshes its recency. The
-// returned slice is owned by the store; callers must copy before modifying.
+// result is a view of the store's own buffer, valid only until the next
+// write to the store: a Put of any name may rewrite it in place, even
+// while another goroutine reads it. Callers that keep the bytes, or run
+// concurrently with writers, must use AppendGet.
 func (s *Store[K]) Get(k K) ([]byte, bool) {
 	sh := s.shardOf(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	el, ok := sh.index[k]
-	if !ok {
+	it := sh.touch(k)
+	if it == nil {
 		return nil, false
 	}
-	sh.ll.MoveToFront(el)
-	it := el.Value.(*item[K])
-	it.hits++
 	return it.data, true
 }
 
@@ -183,19 +212,35 @@ func (s *Store[K]) Bytes() int {
 	return n
 }
 
-// evictOldest drops the shard's LRU entry, handing it to the eviction hook
-// (tiered spill) when one is installed. Called with the shard lock held.
-func (s *Store[K]) evictOldest(sh *csShard[K]) {
+// recycleOldest unlinks the shard's LRU entry from the index and moves its
+// list element to the front for the caller to refill. When the eviction
+// hook (tiered spill) is installed it takes ownership of the old payload,
+// and the item starts over with no buffer. Called with the shard lock held
+// on a full shard.
+func (s *Store[K]) recycleOldest(sh *csShard[K]) *list.Element {
 	el := sh.ll.Back()
-	if el == nil {
-		return
-	}
 	it := el.Value.(*item[K])
-	data, hits := it.data, it.hits
-	sh.remove(el) // accounts it.data before ownership moves to the hook
+	delete(sh.index, it.key)
+	sh.bytes -= len(it.data)
 	if s.onEvict != nil {
-		s.onEvict(it.key, data, hits > 0)
+		s.onEvict(it.key, it.data, it.hits > 0)
+		it.data = nil
 	}
+	sh.ll.MoveToFront(el)
+	return el
+}
+
+// touch looks k up, refreshing its recency and hit count. Called with the
+// shard lock held; nil means a miss.
+func (sh *csShard[K]) touch(k K) *item[K] {
+	el, ok := sh.index[k]
+	if !ok {
+		return nil
+	}
+	sh.ll.MoveToFront(el)
+	it := el.Value.(*item[K])
+	it.hits++
+	return it
 }
 
 func (sh *csShard[K]) remove(el *list.Element) {

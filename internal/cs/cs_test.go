@@ -3,6 +3,7 @@ package cs
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -81,6 +82,110 @@ func TestRemove(t *testing.T) {
 	}
 	if s.Len() != 0 || s.Bytes() != 0 {
 		t.Errorf("Len=%d Bytes=%d", s.Len(), s.Bytes())
+	}
+}
+
+func TestAppendGetCopiesOut(t *testing.T) {
+	s := New[int](4)
+	s.Put(1, []byte("one"))
+	dst := []byte("pre:")
+	got, ok := s.AppendGet(dst, 1)
+	if !ok || string(got) != "pre:one" {
+		t.Fatalf("AppendGet = %q %v", got, ok)
+	}
+	if miss, ok := s.AppendGet(dst, 2); ok || string(miss) != "pre:" {
+		t.Errorf("miss = %q %v, want dst unchanged", miss, ok)
+	}
+	// The copy is the caller's: refreshing and recycling the entry's
+	// buffer must not reach it.
+	s.Put(1, []byte("ONE"))
+	for i := 2; i < 8; i++ {
+		s.Put(i, []byte("evicts"))
+	}
+	if string(got) != "pre:one" {
+		t.Errorf("copy changed under later writes: %q", got)
+	}
+}
+
+// TestPutFullRecyclesTail pins the recycle-on-insert contract: a new name
+// in a full shard replaces exactly the LRU entry, with byte accounting
+// following the payload lengths, whatever the old and new sizes.
+func TestPutFullRecyclesTail(t *testing.T) {
+	s := New[int](2)
+	s.Put(1, []byte("a-long-payload"))
+	s.Put(2, []byte("bb"))
+	s.Put(3, []byte("c"))                 // evicts 1, reusing its larger buffer
+	s.Put(4, []byte("a-longer-payload!")) // evicts 2, growing its buffer
+	if _, ok := s.Get(1); ok {
+		t.Error("LRU entry 1 survived")
+	}
+	if _, ok := s.Get(2); ok {
+		t.Error("LRU entry 2 survived")
+	}
+	for k, want := range map[int]string{3: "c", 4: "a-longer-payload!"} {
+		if got, ok := s.AppendGet(nil, k); !ok || string(got) != want {
+			t.Errorf("entry %d = %q %v, want %q", k, got, ok, want)
+		}
+	}
+	if s.Len() != 2 || s.Bytes() != 1+17 {
+		t.Errorf("Len=%d Bytes=%d, want 2 and 18", s.Len(), s.Bytes())
+	}
+}
+
+// TestEvictHookOwnsPayload pins the exception to recycling: with an
+// eviction hook installed (the tiered spill), the evicted buffer is the
+// hook's, so refilling the recycled entry must not write into it.
+func TestEvictHookOwnsPayload(t *testing.T) {
+	s := New[int](1)
+	var spilled []byte
+	s.onEvict = func(k int, data []byte, _ bool) { spilled = data }
+	s.Put(1, []byte("first"))
+	s.Put(2, []byte("XXXXX"))
+	if string(spilled) != "first" {
+		t.Fatalf("hook got %q, want %q", spilled, "first")
+	}
+	s.Put(3, []byte("YYYYY"))
+	if got, _ := s.AppendGet(nil, 3); string(got) != "YYYYY" {
+		t.Errorf("entry 3 = %q", got)
+	}
+}
+
+// TestAppendGetRacesPut runs AppendGet against concurrent Puts on one
+// shard: refreshes of the name being read with payloads of changing
+// length, and inserts of new names that evict and recycle entries. Every
+// hit must be one complete inserted payload. Run under -race, a read of
+// the entry's buffer outside the shard lock (Get, then copy) fails this.
+func TestAppendGetRacesPut(t *testing.T) {
+	const names = 8
+	s := New[int](4)
+	versions := make([][]byte, 4)
+	for v := range versions {
+		versions[v] = bytes.Repeat([]byte{byte('a' + v)}, 200+100*v)
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			s.Put(i%names, versions[i%len(versions)])
+		}
+	}()
+	defer wg.Wait()
+	defer stop.Store(true)
+	var buf []byte
+	for i, hits := 0, 0; hits < 5000; i++ {
+		if i == 10_000_000 {
+			t.Fatalf("only %d hits in %d reads", hits, i)
+		}
+		var ok bool
+		if buf, ok = s.AppendGet(buf[:0], i%2); !ok {
+			continue
+		}
+		hits++
+		if v := int(buf[0] - 'a'); v >= len(versions) || !bytes.Equal(buf, versions[v]) {
+			t.Fatalf("hit %d: %d-byte copy is no complete payload", hits, len(buf))
+		}
 	}
 }
 

@@ -4,14 +4,14 @@
 //
 // The contract that shapes everything here is that a forwarder must never
 // block on disk. The hot path sees exactly three cheap operations:
-// GetHot (a shard-locked map hit, zero allocations), ColdContains (one
-// mutex + map probe on the in-RAM cold index), and RequestCold (mark the
-// key pending and hand it to the reader pool). The actual pread happens on
-// a reader goroutine, which re-injects the recovered payload through the
-// router's normal ingress — the parked interest is satisfied by the same
-// F_PIT consume/replicate machinery that handles any other data packet,
-// and the payload is promoted back into the hot tier by the same cache
-// insert.
+// AppendGetHot (a shard-locked map hit copied into the caller's buffer,
+// zero allocations), ColdContains (one mutex + map probe on the in-RAM
+// cold index), and RequestCold (mark the key pending and hand it to the
+// reader pool). The actual pread happens on a reader goroutine, which
+// re-injects the recovered payload through the router's normal ingress —
+// the parked interest is satisfied by the same F_PIT consume/replicate
+// machinery that handles any other data packet, and the payload is
+// promoted back into the hot tier by the same cache insert.
 //
 // Population is eviction-driven with insert-on-second-hit admission: the
 // hot LRU's eviction hook hands the evicted entry over with a "was it ever
@@ -216,14 +216,15 @@ func (t *Tiered[K]) SetReinject(fn func(k K, data []byte, readStartNs, readEndNs
 // Hot returns the RAM tier.
 func (t *Tiered[K]) Hot() *Store[K] { return t.store }
 
-// GetHot probes the RAM tier only: the zero-allocation fast path a
-// forwarder runs under its packet budget.
-func (t *Tiered[K]) GetHot(k K) ([]byte, bool) {
-	data, ok := t.store.Get(k)
+// AppendGetHot probes the RAM tier only, appending a hit's payload to dst
+// under the shard lock (see Store.AppendGet): the fast path a forwarder
+// runs under its packet budget, allocation-free when dst has room.
+func (t *Tiered[K]) AppendGetHot(dst []byte, k K) ([]byte, bool) {
+	dst, ok := t.store.AppendGet(dst, k)
 	if ok {
 		t.hotHits.Add(1)
 	}
-	return data, ok
+	return dst, ok
 }
 
 // ColdContains reports whether the cold index holds k, counting the

@@ -82,7 +82,7 @@ func TestArenaAllocExhaustion(t *testing.T) {
 func TestSpillAdmission(t *testing.T) {
 	ts := newSyncTiered(t, 2, 8, ColdConfig{})
 	ts.Put(1, []byte("touched"))
-	ts.GetHot(1) // second hit: admits on eviction
+	ts.AppendGetHot(nil, 1) // second hit: admits on eviction
 	ts.Put(2, []byte("one-hit wonder"))
 	// Fill past capacity so both 1 and 2 are pushed out.
 	ts.Put(3, []byte("x"))
@@ -113,9 +113,9 @@ func TestColdReadReinjects(t *testing.T) {
 		gotKey, gotData, gotStart, gotEnd = k, data, start, end
 	})
 	ts.Put(7, []byte("cold content"))
-	ts.GetHot(7)
+	ts.AppendGetHot(nil, 7)
 	ts.Put(8, []byte("evictor")) // pushes 7 to the cold tier
-	if _, ok := ts.GetHot(7); ok {
+	if _, ok := ts.AppendGetHot(nil, 7); ok {
 		t.Fatal("7 still hot after eviction")
 	}
 	if !ts.ColdContains(7) {
@@ -148,12 +148,12 @@ func TestColdReadReinjects(t *testing.T) {
 func TestColdPromotion(t *testing.T) {
 	ts := newSyncTiered(t, 1, 8, ColdConfig{})
 	ts.Put(1, []byte("content"))
-	ts.GetHot(1)
+	ts.AppendGetHot(nil, 1)
 	ts.Put(2, []byte("evictor"))
 	if !ts.RequestCold(1) {
 		t.Fatal("RequestCold refused")
 	}
-	got, ok := ts.GetHot(1)
+	got, ok := ts.AppendGetHot(nil, 1)
 	if !ok || !bytes.Equal(got, []byte("content")) {
 		t.Fatalf("promotion failed: %q, %v", got, ok)
 	}
@@ -169,7 +169,7 @@ func TestColdPromotion(t *testing.T) {
 func TestPutInvalidatesStaleCold(t *testing.T) {
 	ts := newSyncTiered(t, 1, 8, ColdConfig{})
 	ts.Put(1, []byte("version A"))
-	ts.GetHot(1)
+	ts.AppendGetHot(nil, 1)
 	ts.Put(2, []byte("evictor")) // spills version A
 	if !ts.ColdContains(1) {
 		t.Fatal("setup: 1 not cold")
@@ -192,7 +192,7 @@ func TestPutInvalidatesStaleCold(t *testing.T) {
 func TestRemoveBothTiers(t *testing.T) {
 	ts := newSyncTiered(t, 1, 8, ColdConfig{})
 	ts.Put(1, []byte("a"))
-	ts.GetHot(1)
+	ts.AppendGetHot(nil, 1)
 	ts.Put(2, []byte("b")) // 1 spills cold, 2 is hot
 	if !ts.Remove(1) {
 		t.Fatal("Remove(1) found nothing")
@@ -226,7 +226,7 @@ func TestPendingDedupe(t *testing.T) {
 	done := make(chan uint32, 8)
 	ts.SetReinject(func(k uint32, _ []byte, _, _ int64) { done <- k })
 	ts.Put(1, []byte("cold"))
-	ts.GetHot(1)
+	ts.AppendGetHot(nil, 1)
 	ts.Put(2, []byte("evictor"))
 	// The spill rides the async queue; wait for the worker to index it.
 	for i := 0; ts.Stats().Spilled == 0; i++ {
@@ -266,7 +266,7 @@ func TestPendingDedupe(t *testing.T) {
 func TestCorruptSlotDropped(t *testing.T) {
 	ts := newSyncTiered(t, 1, 8, ColdConfig{})
 	ts.Put(1, []byte("will rot"))
-	ts.GetHot(1)
+	ts.AppendGetHot(nil, 1)
 	ts.Put(2, []byte("evictor"))
 	ts.mu.Lock()
 	slot := ts.index[1].slot
@@ -296,7 +296,7 @@ func TestCorruptSlotDropped(t *testing.T) {
 	}
 }
 
-// TestTieredStressRace drives concurrent Put/GetHot/ColdContains/
+// TestTieredStressRace drives concurrent Put/AppendGetHot/ColdContains/
 // RequestCold/Remove across both tiers; run under -race this is the
 // lock-discipline check for the whole hierarchy.
 func TestTieredStressRace(t *testing.T) {
@@ -318,11 +318,11 @@ func TestTieredStressRace(t *testing.T) {
 				case 0, 1:
 					ts.Put(k, payload)
 				case 2:
-					if _, ok := ts.GetHot(k); !ok && ts.ColdContains(k) {
+					if _, ok := ts.AppendGetHot(nil, k); !ok && ts.ColdContains(k) {
 						ts.RequestCold(k)
 					}
 				case 3:
-					ts.GetHot(k)
+					ts.AppendGetHot(nil, k)
 				case 4:
 					if i%97 == 0 {
 						ts.Remove(k)
@@ -347,8 +347,10 @@ func TestHotHitZeroAllocs(t *testing.T) {
 	for i := uint32(0); i < 64; i++ {
 		ts.Put(i, []byte("hot payload"))
 	}
+	buf := make([]byte, 0, 64)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, ok := ts.GetHot(17); !ok {
+		var ok bool
+		if buf, ok = ts.AppendGetHot(buf[:0], 17); !ok {
 			t.Fatal("hot miss")
 		}
 	})
@@ -369,10 +371,11 @@ func BenchmarkTieredHotHit(b *testing.B) {
 	for i := uint32(0); i < 1024; i++ {
 		ts.Put(i, make([]byte, 256))
 	}
+	buf := make([]byte, 0, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ts.GetHot(uint32(i) & 1023)
+		buf, _ = ts.AppendGetHot(buf[:0], uint32(i)&1023)
 	}
 }
 
@@ -386,7 +389,7 @@ func BenchmarkTieredColdCycle(b *testing.B) {
 	payload := make([]byte, 256)
 	for i := uint32(0); i < 2048; i++ {
 		ts.Put(i, payload)
-		ts.GetHot(i) // touch so eviction admits it cold
+		ts.AppendGetHot(nil, i) // touch so eviction admits it cold
 	}
 	sink := 0
 	ts.SetReinject(func(_ uint32, data []byte, _, _ int64) { sink += len(data) })

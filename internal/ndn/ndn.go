@@ -152,8 +152,8 @@ type Result struct {
 	Action Action
 	// Ports are egress ports (appended into the caller's buffer).
 	Ports []int
-	// Cached is the content-store payload on ActCacheHit; it is owned by
-	// the store and must be copied before the next store mutation.
+	// Cached is the content-store payload on ActCacheHit: a copy taken
+	// under the store's shard lock, owned by the caller.
 	Cached []byte
 }
 
@@ -201,7 +201,7 @@ func (f *Forwarder) processInterest(p Packet, inPort int, portsBuf []int) Result
 	}
 	// Footnote 2: match the local content store before the FIB.
 	if f.CS != nil {
-		if data, ok := f.CS.Get(name); ok {
+		if data, ok := f.CS.AppendGet(nil, name); ok {
 			return Result{Action: ActCacheHit, Cached: data, Ports: append(portsBuf, inPort)}
 		}
 	}

@@ -55,18 +55,18 @@ func (o *FIB) Execute(ctx *core.ExecContext, loc, bits uint) error {
 		return err
 	}
 	name := uint32(v) << (32 - bits)
+	// A hit is copied into the context's own buffer under the shard lock:
+	// the store may rewrite the entry the moment the lock drops.
+	data, hit := ctx.CacheBuf[:0], false
 	if o.tiered != nil {
-		if data, ok := o.tiered.GetHot(name); ok {
-			ctx.Cached = data
-			ctx.Absorb()
-			return nil
-		}
+		data, hit = o.tiered.AppendGetHot(data, name)
 	} else if o.store != nil {
-		if data, ok := o.store.Get(name); ok {
-			ctx.Cached = data
-			ctx.Absorb()
-			return nil
-		}
+		data, hit = o.store.AppendGet(data, name)
+	}
+	if hit {
+		ctx.SetCached(data)
+		ctx.Absorb()
+		return nil
 	}
 	// A cold hit means the content is on local disk: the interest parks in
 	// the PIT exactly as for an upstream fetch, but no packet leaves the

@@ -83,6 +83,19 @@ func NDNData(name uint32) *core.Header {
 	}
 }
 
+// AppendNDNData appends a complete NDN data packet to dst — NDNData(name)'s
+// header with the given hop limit, then payload — building the header on
+// the stack, so it allocates nothing when dst has room. Routers answer
+// cache hits with it.
+func AppendNDNData(dst []byte, name uint32, hopLimit uint8, payload []byte) []byte {
+	var locs [4]byte
+	binary.BigEndian.PutUint32(locs[:], name)
+	fns := [1]core.FN{core.RouterFN(0, 32, core.KeyPIT)}
+	h := core.Header{HopLimit: hopLimit, FNs: fns[:], Locations: locs[:]}
+	dst, _ = h.AppendTo(dst) // a fixed, valid shape: AppendTo cannot fail
+	return append(dst, payload...)
+}
+
 // OPT builds the standalone OPT header (Table 2: 98 bytes) for a packet
 // carrying payload: the session's initialized 544-bit region in the
 // locations and the paper's four FN triples — (128,128,6), (0,416,7),

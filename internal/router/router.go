@@ -134,10 +134,10 @@ func (r *Router) HandlePacket(pkt []byte, inPort int) {
 }
 
 // handlePacket is the context-reusing core of HandlePacket. Burst
-// dataplanes (Ingress.runBurst) call it once per packet with a context
-// they hold for the whole burst — amortizing the pool round-trip — and
-// with the burst plan's pre-made sampling hint; everyone else goes
-// through HandlePacket and pays one pool Get/Put per packet.
+// dataplanes (Ingress.runBurst) call it once per packet with the
+// forwarder's own context — no pool round-trip at all — and with the
+// burst plan's pre-made sampling hint; everyone else goes through
+// HandlePacket and pays one pool Get/Put per packet.
 func (r *Router) handlePacket(ctx *core.ExecContext, pkt []byte, inPort int, hint core.SampleHint) {
 	v, err := core.ParseView(pkt)
 	if err != nil {
@@ -179,10 +179,15 @@ func (r *Router) handlePacket(ctx *core.ExecContext, pkt []byte, inPort int, hin
 var ctxPool = sync.Pool{New: func() any { return new(core.ExecContext) }}
 
 func releaseCtx(ctx *core.ExecContext) {
-	ctx.Cached = nil       // drop the content-store reference
+	scrubCtx(ctx)
+	ctxPool.Put(ctx)
+}
+
+// scrubCtx drops a context's references to the last packet between uses.
+func scrubCtx(ctx *core.ExecContext) {
+	ctx.Cached = nil       // the hit's bytes stay in ctx.CacheBuf for reuse
 	ctx.View = core.View{} // drop the packet buffer reference
 	ctx.Trace = nil        // drop any trace-ring slot reference
-	ctxPool.Put(ctx)
 }
 
 func (r *Router) sendOn(port int, pkt []byte) {
@@ -206,19 +211,15 @@ func (r *Router) countDrop(reason core.DropReason) {
 
 // replyFromCache synthesizes the NDN data packet answering an interest the
 // content store satisfied (footnote 2), sending it back on the ingress port.
+// The packet is built in the context's ReplyBuf, which the next packet
+// reuses; the Port contract (Send keeps nothing) is what makes that safe.
 func (r *Router) replyFromCache(v core.View, ctx *core.ExecContext, inPort int) {
 	name, ok := interestName(v)
 	if !ok {
 		return
 	}
-	h := profiles.NDNData(name)
-	h.HopLimit = v.HopLimit()
-	buf, err := h.AppendTo(make([]byte, 0, h.WireSize()+len(ctx.Cached)))
-	if err != nil {
-		return
-	}
-	buf = append(buf, ctx.Cached...)
-	r.sendOn(inPort, buf)
+	ctx.ReplyBuf = profiles.AppendNDNData(ctx.ReplyBuf[:0], name, v.HopLimit(), ctx.Cached)
+	r.sendOn(inPort, ctx.ReplyBuf)
 }
 
 // interestName extracts the 32-bit content name an F_FIB FN addresses.

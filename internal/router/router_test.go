@@ -179,6 +179,28 @@ func TestCacheReplySynthesis(t *testing.T) {
 	}
 }
 
+// TestCacheReplyEmptyPayload pins that a cached object with an empty
+// payload is still a hit: the interest is answered with an empty data
+// packet rather than absorbed without a reply.
+func TestCacheReplyEmptyPayload(t *testing.T) {
+	cfg := baseCfg(t)
+	cfg.NameFIB.AddUint32(0xAA000000, 8, fib.NextHop{Port: 3})
+	cfg.ContentStore = cs.New[uint32](8)
+	cfg.ContentStore.Put(0xAA000001, nil)
+	r, ports := newTestRouter(t, cfg, Config{})
+	r.HandlePacket(pkt(t, profiles.NDNInterest(0xAA000001), nil), 1)
+	if len(ports[3].pkts) != 0 {
+		t.Fatal("a cache hit was forwarded upstream")
+	}
+	if len(ports[1].pkts) != 1 {
+		t.Fatalf("%d cache replies, want 1", len(ports[1].pkts))
+	}
+	v, err := core.ParseView(ports[1].pkts[0])
+	if err != nil || len(v.Payload()) != 0 || v.FN(0).Key != core.KeyPIT {
+		t.Fatalf("reply %x: %v", ports[1].pkts[0], err)
+	}
+}
+
 func TestFNUnsupportedSignalling(t *testing.T) {
 	// A router without OPT state receives an OPT packet whose F_parm demands
 	// signalling.

@@ -91,8 +91,8 @@ type ServeConfig struct {
 // the panic quarantine. Because a queue has exactly one consumer and
 // dispatch is deterministic, per-flow FIFO order is a structural property
 // of the design, not a locking discipline — and the burst loop pays its
-// queue lock, context-pool round-trip, heartbeat stamp, and sampling
-// arithmetic once per burst instead of once per packet.
+// queue lock, heartbeat stamp, and sampling arithmetic once per burst
+// instead of once per packet, on a context the forwarder owns.
 type Ingress struct {
 	r   *Router
 	cfg ServeConfig
@@ -127,6 +127,7 @@ type Ingress struct {
 	pumpMu     sync.Mutex
 	pumpPlan   core.BurstPlan
 	pumpBurst  []queuedPacket
+	pumpCtx    core.ExecContext
 	pumpWorker *workerState
 }
 
@@ -332,21 +333,24 @@ func (in *Ingress) forwarderOf(pkt []byte) int {
 func (in *Ingress) forwarder(q *burstQueue, w *workerState, plan core.BurstPlan) {
 	defer in.wg.Done()
 	burst := make([]queuedPacket, 0, in.cfg.Batch)
+	ctx := new(core.ExecContext)
 	for {
 		burst = q.collect(burst[:0], in.cfg.Batch, true)
 		if len(burst) == 0 {
 			return
 		}
-		in.runBurst(burst, w, plan)
+		in.runBurst(burst, ctx, w, plan)
 	}
 }
 
 // runBurst processes one burst run-to-completion: a single heartbeat
-// stamp, one pooled execution context, and one amortized sampling plan
-// cover the whole burst. Each packet still executes behind the panic
-// quarantine, so a poison packet costs exactly itself — the rest of its
-// burst completes.
-func (in *Ingress) runBurst(burst []queuedPacket, w *workerState, plan core.BurstPlan) {
+// stamp, the forwarder's own execution context, and one amortized sampling
+// plan cover the whole burst. The context belongs to the forwarder for its
+// lifetime, so its scratch buffers (cache hits, cache replies) are reused
+// burst after burst with no pool round-trip. Each packet still executes
+// behind the panic quarantine, so a poison packet costs exactly itself —
+// the rest of its burst completes.
+func (in *Ingress) runBurst(burst []queuedPacket, ctx *core.ExecContext, w *workerState, plan core.BurstPlan) {
 	at := int64(in.cfg.Clock())
 	if w != nil {
 		w.beat.Store(at)
@@ -355,7 +359,6 @@ func (in *Ingress) runBurst(burst []queuedPacket, w *workerState, plan core.Burs
 	if plan != nil {
 		plan.BeginBurst(len(burst))
 	}
-	ctx := ctxPool.Get().(*core.ExecContext)
 	// Admission snapshot for in-band telemetry: one clock read and one
 	// depth reading amortized over the burst. F_tel (when the packet
 	// carries it) turns these into per-hop latency and queue depth.
@@ -369,7 +372,7 @@ func (in *Ingress) runBurst(burst []queuedPacket, w *workerState, plan core.Burs
 		in.safeHandle(ctx, burst[i], hint)
 		burst[i] = queuedPacket{} // drop the buffer reference promptly
 	}
-	releaseCtx(ctx)
+	scrubCtx(ctx)
 	if w != nil {
 		w.busy.Store(false)
 	}
@@ -571,7 +574,7 @@ func (in *Ingress) Pump() int {
 		if len(in.pumpBurst) == 0 {
 			return n
 		}
-		in.runBurst(in.pumpBurst, in.pumpWorker, in.pumpPlan)
+		in.runBurst(in.pumpBurst, &in.pumpCtx, in.pumpWorker, in.pumpPlan)
 		n += len(in.pumpBurst)
 	}
 }

@@ -102,7 +102,7 @@ func TestZeroAllocJourneyTapUnsampled(t *testing.T) {
 
 // TestZeroAllocBurstPath pins the steady-state burst dataplane: burst
 // submission (classification, flow-dispatch hashing, ring enqueue) plus
-// a full Pump (burst collection, one pooled context per burst, engine
+// a full Pump (burst collection, the pump's own context, engine
 // processing per packet) must stay at 0 allocs/packet. Pump mode keeps
 // the measurement on one goroutine, which is exactly the code path the
 // forwarder goroutines run.
@@ -268,5 +268,98 @@ func TestZeroAllocContentStoreGet(t *testing.T) {
 		i = (i + 1) & 63
 	}); n != 0 {
 		t.Fatalf("cs.Store.Get allocates %.1f/op, want 0", n)
+	}
+}
+
+// TestZeroAllocContentStoreAppendGet pins the copy-out read the forwarding
+// path uses: a hit appended into a buffer with room allocates nothing.
+func TestZeroAllocContentStoreAppendGet(t *testing.T) {
+	s := NewNodeState().EnableCache(64).ContentStore
+	payload := make([]byte, 1500)
+	for i := uint32(0); i < 64; i++ {
+		s.Put(i, payload)
+	}
+	buf := make([]byte, 0, len(payload))
+	i := uint32(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		var ok bool
+		if buf, ok = s.AppendGet(buf[:0], i); !ok {
+			t.Fatal("expected hit")
+		}
+		i = (i + 1) & 63
+	}); n != 0 {
+		t.Fatalf("cs.Store.AppendGet allocates %.1f/op, want 0", n)
+	}
+}
+
+// TestZeroAllocContentStorePutFull pins recycle-on-insert: a new name Put
+// into a full store takes over the LRU entry and its payload buffer, so
+// steady-state churn through a full cache allocates nothing.
+func TestZeroAllocContentStorePutFull(t *testing.T) {
+	s := NewNodeState().EnableCache(64).ContentStore
+	payload := make([]byte, 1500)
+	name := uint32(0)
+	put := func() {
+		s.Put(name, payload)
+		name++
+	}
+	for i := 0; i < 4096; i++ {
+		put() // fill, then churn until the index map has settled
+	}
+	if n := testing.AllocsPerRun(1000, put); n != 0 {
+		t.Fatalf("cs.Store.Put of a new name into a full store allocates %.1f/op, want 0", n)
+	}
+	if s.Len() != 64 {
+		t.Fatalf("store holds %d entries, want 64", s.Len())
+	}
+}
+
+// TestZeroAllocCacheHitReply pins the cache-hit path end to end through
+// the burst dataplane: interests that hit a 1.5 KB cached object are
+// copied out of the store into the context's buffer, the data reply is
+// built in the context's reply buffer and sent — 0 allocs/packet.
+func TestZeroAllocCacheHitReply(t *testing.T) {
+	state := NewNodeState().EnableCache(64)
+	state.NameFIB.AddUint32(0xAA000000, 8, NextHop{Port: 1})
+	payload := make([]byte, 1500)
+	for i := uint32(0); i < 64; i++ {
+		state.ContentStore.Put(0xAA000000+i, payload)
+	}
+	replies := 0
+	r := NewRouter(state.OpsConfig(), RouterOptions{})
+	r.AttachPort(PortFunc(func(pkt []byte) {
+		if len(pkt) > len(payload) {
+			replies++
+		}
+	}))
+	r.AttachPort(PortFunc(func([]byte) { t.Fatal("cache hit forwarded upstream") }))
+	in := r.ServeGuarded(ServeConfig{Workers: 0, Batch: 64, HighDepth: 128, LowDepth: 128})
+	defer in.Close()
+	pkts := make([][]byte, 64)
+	for i := range pkts {
+		p, err := BuildPacket(NDNInterestProfile(0xAA000000+uint32(i)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts[i] = p
+	}
+	run := func() {
+		for _, p := range pkts {
+			p[3] = 64 // restore the hop limit the previous pass decremented
+		}
+		if n := in.SubmitBurst(pkts, 0); n != 64 {
+			t.Fatalf("accepted %d/64", n)
+		}
+		if n := in.Pump(); n != 64 {
+			t.Fatalf("pumped %d/64", n)
+		}
+	}
+	run() // warm the context pool and its buffers before counting
+	replies = 0
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Fatalf("cache-hit reply path allocates %.1f/burst, want 0", n)
+	}
+	if replies != 101*64 {
+		t.Fatalf("%d cache replies, want %d", replies, 101*64)
 	}
 }
