@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race vet fuzz soak bench benchrace metricssmoke journeysmoke burstsmoke udpsmoke ccsmoke cssmoke churnsmoke intsmoke benchguard clean
+.PHONY: build test check race vet crossbuild fuzz soak bench benchrace metricssmoke journeysmoke burstsmoke udpsmoke ccsmoke cssmoke churnsmoke intsmoke benchguard clean
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,15 @@ vet:
 race:
 	$(GO) test -race ./...
 
+# The socket dataplane's raw recvmsg/sendto path is Linux-only (and not
+# linux/386); build the net-package fallback the other platforms use.
+# linux/386 builds the router package only: cmd/dipbench does not compile
+# on 32-bit targets.
+crossbuild:
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
+	GOOS=linux GOARCH=386 $(GO) build ./internal/router/
+
 # Full pre-merge gate: static analysis, the race detector, a race-mode smoke
 # of the parallel hot-path benchmarks, a fuzz smoke sweep over every fuzz
 # target, a live scrape of the metrics endpoint, a smoke of the batched
@@ -23,9 +32,10 @@ race:
 # the tiered content-store smoke (never-block acceptance + E20 sweep), the
 # control-plane smoke (route-exchange reconvergence scenarios + a
 # scaled-down E21 churn run with its built-in oracle), and the in-band
-# telemetry smoke (digest oracles + live dip_int_* scrape), and the socket
-# dataplane smoke (loopback ServeUDP harness under -race + its 0-alloc pin).
-check: vet race benchrace fuzz metricssmoke journeysmoke burstsmoke udpsmoke ccsmoke cssmoke churnsmoke intsmoke
+# telemetry smoke (digest oracles + live dip_int_* scrape), the socket
+# dataplane smoke (loopback ServeUDP harness under -race + its 0-alloc pin),
+# and a cross-build of the platforms without the raw socket path.
+check: vet crossbuild race benchrace fuzz metricssmoke journeysmoke burstsmoke udpsmoke ccsmoke cssmoke churnsmoke intsmoke
 
 # Short benchstat-friendly run of the forwarding hot-path benchmarks
 # (compare runs with: make bench > old.txt; ...; make bench > new.txt;
@@ -132,10 +142,12 @@ burstsmoke:
 # Socket dataplane smoke: the loopback ServeUDP harness with the reader as
 # the forwarder and with two forwarder goroutines, under the race detector
 # (exact egress bytes, per-flow order, no loss or duplication, port
-# attribution incl. dual-stack, Inject while the reader blocks, stall
-# visibility), plus the 0-alloc pin of one datagram read → forward → send.
+# attribution incl. dual-stack and an IPv6 peer, Inject while the reader
+# blocks, stall visibility, zero-length datagrams, an unaddressable peer,
+# Wait after the caller closes the socket), the raw path's sockaddr codec,
+# plus the 0-alloc pin of one datagram read → forward → send.
 udpsmoke:
-	$(GO) test -race -count=1 -run 'ServeUDP' ./internal/router/
+	$(GO) test -race -count=1 -run 'ServeUDP|Sockaddr' ./internal/router/
 	$(GO) test -count=1 -run 'TestZeroAllocServeUDP' .
 
 # Congestion-control smoke: the fleet smoke (every object completes, zero

@@ -13,6 +13,13 @@
 // names under 0xAA/8 to port 1. Incoming datagrams are attributed to a port
 // by their source address; datagrams from unknown sources arrive on port 0.
 //
+// The socket loop is Router.ServeUDP. On Linux it reads and sends with raw
+// non-blocking recvmsg/sendto through the socket's RawConn, which skips the
+// Go runtime's syscall entry and the monitor-thread wake-up that entry
+// costs per datagram at low rates. Other platforms use the net package's
+// ReadMsgUDPAddrPort/WriteToUDPAddrPort. Both behave alike: same port
+// attribution, same errors in the "socket:" log lines.
+//
 // Flags:
 //
 //	-listen addr      UDP address to bind (required)

@@ -34,6 +34,7 @@ const (
 // flow-pinned forwarder goroutines, as ServeGuarded does.
 type UDPServer struct {
 	conn   *net.UDPConn
+	sock   datagramSock
 	in     *Ingress
 	inline bool
 	portOf map[netip.AddrPort]int
@@ -48,19 +49,24 @@ type UDPServer struct {
 // to that peer over conn, starts the guarded ingress configured by cfg, and
 // starts reading conn. A datagram's ingress port is its sender's port;
 // datagrams from unknown senders arrive on port 0. Addresses are compared
-// unmapped, so IPv4 peers match on a dual-stack socket. Stop it with Close;
-// conn stays open and remains the caller's.
+// unmapped, so IPv4 peers match on a dual-stack socket. On Linux the
+// datagrams are read and sent with raw non-blocking syscalls through conn's
+// RawConn (udpsock_linux.go), which keeps the runtime's syscall entry off
+// the per-datagram path. Stop it with Close; conn stays open and remains
+// the caller's.
 func (r *Router) ServeUDP(conn *net.UDPConn, peers []netip.AddrPort, cfg ServeConfig) *UDPServer {
 	s := &UDPServer{
 		conn:   conn,
+		sock:   newSock(conn),
 		inline: cfg.Workers <= 1,
 		portOf: make(map[netip.AddrPort]int, len(peers)),
 		done:   make(chan struct{}),
 	}
 	for _, p := range peers {
 		to := unmap(p)
+		send := s.sock.sender(to)
 		idx := r.AttachPort(PortFunc(func(pkt []byte) {
-			if _, err := conn.WriteToUDPAddrPort(pkt, to); err != nil {
+			if err := send(pkt); err != nil {
 				s.socketError(err)
 			}
 		}))
@@ -88,7 +94,7 @@ func (s *UDPServer) readLoop() {
 	defer close(s.done)
 	buf := make([]byte, maxDatagram)
 	for {
-		n, _, _, from, err := s.conn.ReadMsgUDPAddrPort(buf, nil)
+		n, from, err := s.sock.recv(buf)
 		if err != nil {
 			if s.closing.Load() || errors.Is(err, net.ErrClosed) {
 				return
@@ -96,7 +102,7 @@ func (s *UDPServer) readLoop() {
 			s.socketError(err)
 			continue
 		}
-		inPort := s.portOf[unmap(from)] // unknown senders map to port 0
+		inPort := s.portOf[from] // unknown senders map to port 0
 		pkt := buf[:n]
 		if !s.inline {
 			// Submit transfers ownership to a forwarder goroutine while

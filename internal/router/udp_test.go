@@ -7,13 +7,16 @@ import (
 	"net"
 	"net/netip"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dip/internal/core"
 	"dip/internal/fib"
 	"dip/internal/ops"
 	"dip/internal/profiles"
+	"dip/internal/telemetry"
 )
 
 // hopLimitOff is the hop limit's byte in the DIP header (version, next
@@ -22,12 +25,15 @@ const hopLimitOff = 3
 
 // udpHarness is a router served over a loopback socket by ServeUDP, with
 // two peer sockets: gen (port 0, where traffic enters) and sink (port 1,
-// where 10.0.0.0/8 leads). 20.0.0.0/8 is delivered locally, and each local
-// delivery reports its ingress port on delivered.
+// where 10.0.0.0/8 leads). Extra peers become ports 2 and up, and
+// 30.0.0.0/8 leads to port 2. 20.0.0.0/8 is delivered locally, and each
+// local delivery reports its ingress port on delivered.
 type udpHarness struct {
 	srv       *UDPServer
+	conn      *net.UDPConn   // the router's socket
 	routerAP  netip.AddrPort // where peers send (IPv4 loopback)
 	gen, sink *net.UDPConn
+	metrics   *telemetry.Metrics
 	delivered chan int
 }
 
@@ -43,21 +49,24 @@ func listenUDP(t *testing.T, addr string) *net.UDPConn {
 
 func addrOf(c *net.UDPConn) netip.AddrPort { return c.LocalAddr().(*net.UDPAddr).AddrPort() }
 
-func newUDPHarness(t *testing.T, listen string, cfg ServeConfig) *udpHarness {
+func newUDPHarness(t *testing.T, listen string, cfg ServeConfig, extra ...netip.AddrPort) *udpHarness {
 	t.Helper()
 	ocfg := baseCfg(t)
 	ocfg.FIB32.AddUint32(0x0A000000, 8, fib.NextHop{Port: 1})
 	ocfg.FIB32.AddUint32(0x14000000, 8, fib.Local)
-	h := &udpHarness{delivered: make(chan int, 64)}
+	ocfg.FIB32.AddUint32(0x1E000000, 8, fib.NextHop{Port: 2})
+	h := &udpHarness{metrics: &telemetry.Metrics{}, delivered: make(chan int, 64)}
 	r := New(ops.NewRouterRegistry(ocfg), Config{
+		Metrics:       h.metrics,
 		LocalDelivery: func(_ []byte, inPort int) { h.delivered <- inPort },
 	})
-	conn := listenUDP(t, listen)
+	h.conn = listenUDP(t, listen)
 	h.gen = listenUDP(t, "127.0.0.1:0")
 	h.sink = listenUDP(t, "127.0.0.1:0")
 	_ = h.sink.SetReadBuffer(1 << 20)
-	h.routerAP = netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), addrOf(conn).Port())
-	h.srv = r.ServeUDP(conn, []netip.AddrPort{addrOf(h.gen), addrOf(h.sink)}, cfg)
+	h.routerAP = netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), addrOf(h.conn).Port())
+	peers := append([]netip.AddrPort{addrOf(h.gen), addrOf(h.sink)}, extra...)
+	h.srv = r.ServeUDP(h.conn, peers, cfg)
 	t.Cleanup(h.srv.Close)
 	return h
 }
@@ -259,5 +268,125 @@ func TestServeUDPStallVisible(t *testing.T) {
 			t.Fatalf("stall persists after Send returned: %+v", h)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestServeUDPIPv6Peer: on a [::] socket an [::1] peer's datagrams arrive
+// on its own port, and egress routed to that port reaches it.
+func TestServeUDPIPv6Peer(t *testing.T) {
+	for _, workers := range udpWorkers {
+		t.Run("workers="+strconv.Itoa(workers), func(t *testing.T) {
+			v6 := listenUDP(t, "[::1]:0")
+			h := newUDPHarness(t, "[::]:0", ServeConfig{Workers: workers}, addrOf(v6))
+			routerV6 := netip.AddrPortFrom(netip.IPv6Loopback(), h.routerAP.Port())
+			if _, err := v6.WriteToUDPAddrPort(pkt(t, profiles.IPv4([4]byte{1, 1, 1, 1}, [4]byte{20, 0, 0, 1}), nil), routerV6); err != nil {
+				t.Fatal(err)
+			}
+			if got := h.deliveredPort(t); got != 2 {
+				t.Fatalf("datagram from the IPv6 peer arrived on port %d, want 2", got)
+			}
+			p := pkt(t, profiles.IPv4([4]byte{1, 1, 1, 1}, [4]byte{30, 0, 0, 1}), []byte("to v6"))
+			want := append([]byte(nil), p...)
+			want[hopLimitOff]--
+			h.send(t, h.gen, p)
+			buf := make([]byte, 2048)
+			_ = v6.SetReadDeadline(time.Now().Add(5 * time.Second))
+			n, from, err := v6.ReadFromUDPAddrPort(buf)
+			if err != nil {
+				t.Fatalf("IPv6 peer: %v", err)
+			}
+			if !bytes.Equal(buf[:n], want) {
+				t.Fatalf("IPv6 peer got %x, want %x", buf[:n], want)
+			}
+			if from.Port() != h.routerAP.Port() {
+				t.Errorf("egress came from %v, want the router's port %d", from, h.routerAP.Port())
+			}
+		})
+	}
+}
+
+// TestServeUDPZeroLengthDatagram: an empty datagram is a packet like any
+// other — processed, and dropped as malformed — and the next one still
+// forwards.
+func TestServeUDPZeroLengthDatagram(t *testing.T) {
+	for _, workers := range udpWorkers {
+		t.Run("workers="+strconv.Itoa(workers), func(t *testing.T) {
+			h := newUDPHarness(t, "127.0.0.1:0", ServeConfig{Workers: workers})
+			h.send(t, h.gen, nil)
+			h.send(t, h.gen, wirePkt(t, 3, 0))
+			if f, seq := flowSeqOf(h.recv(t, make([]byte, 2048))); f != 3 || seq != 0 {
+				t.Fatalf("sink got flow %d seq %d, want the datagram after the empty one", f, seq)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				processed := h.srv.Ingress().Processed()
+				malformed := h.metrics.Snapshot().Drops[core.DropMalformed]
+				if processed == 2 && malformed == 1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("processed %d (want 2), malformed drops %d (want 1)", processed, malformed)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestServeUDPUnreachablePeer: a peer the socket cannot address (IPv6 on
+// an IPv4 socket) fails every send through OnSocketError, and the other
+// ports keep forwarding.
+func TestServeUDPUnreachablePeer(t *testing.T) {
+	for _, workers := range udpWorkers {
+		t.Run("workers="+strconv.Itoa(workers), func(t *testing.T) {
+			errs := make(chan error, 16)
+			h := newUDPHarness(t, "127.0.0.1:0", ServeConfig{
+				Workers:       workers,
+				OnSocketError: func(err error) { errs <- err },
+			}, netip.MustParseAddrPort("[::1]:9"))
+			const sends = 3
+			for i := 0; i < sends; i++ {
+				h.send(t, h.gen, pkt(t, profiles.IPv4([4]byte{1, 1, 1, 1}, [4]byte{30, 0, 0, byte(i)}), nil))
+			}
+			for i := 0; i < sends; i++ {
+				select {
+				case err := <-errs:
+					if !strings.Contains(err.Error(), "non-IPv4 address") {
+						t.Errorf("send %d: %v, want a non-IPv4 address error", i, err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%d of %d failed sends reported", i, sends)
+				}
+			}
+			h.send(t, h.gen, wirePkt(t, 4, 0))
+			if f, seq := flowSeqOf(h.recv(t, make([]byte, 2048))); f != 4 || seq != 0 {
+				t.Fatalf("sink got flow %d seq %d after the failed sends", f, seq)
+			}
+			select {
+			case err := <-errs:
+				t.Errorf("extra socket error: %v", err)
+			default:
+			}
+		})
+	}
+}
+
+// TestServeUDPWaitAfterConnClose: closing conn under a running server
+// stops the reader, so Wait returns.
+func TestServeUDPWaitAfterConnClose(t *testing.T) {
+	for _, workers := range udpWorkers {
+		t.Run("workers="+strconv.Itoa(workers), func(t *testing.T) {
+			h := newUDPHarness(t, "127.0.0.1:0", ServeConfig{Workers: workers})
+			h.send(t, h.gen, wirePkt(t, 5, 0))
+			h.recv(t, make([]byte, 2048))
+			h.conn.Close()
+			waited := make(chan struct{})
+			go func() { h.srv.Wait(); close(waited) }()
+			select {
+			case <-waited:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Wait did not return after conn was closed")
+			}
+		})
 	}
 }

@@ -218,7 +218,13 @@ func (r *Recorder) BeginPacket(ctx *core.ExecContext) {
 	}
 	seq := r.seq.Add(1) - 1
 	sl := &r.slots[seq&r.mask]
-	sl.ver.Add(1) // odd: under construction
+	// Claim the slot by making its version odd (under construction). The
+	// ring can lap a packet that is still being traced (a slow writer
+	// holding the same slot); writing under it would tear its record, so
+	// this sample is lost to the ring like an overwritten one.
+	if v := sl.ver.Load(); v%2 != 0 || !sl.ver.CompareAndSwap(v, v+1) {
+		return
+	}
 	sl.steps.Store(0)
 	sl.start = time.Now().UnixNano()
 	sl.rec = Record{Seq: seq, At: r.nowStamp(), InPort: int32(ctx.InPort)}

@@ -142,11 +142,12 @@ func TestZeroAllocBurstPath(t *testing.T) {
 }
 
 // TestZeroAllocServeUDP pins the socket dataplane with the reader as the
-// forwarder (Workers: 1): one datagram on loopback through the socket read,
-// the AddrPort port lookup, classification and admission, the engine (with
-// the default metrics recorder), and the egress WriteToUDPAddrPort must
-// stay at 0 allocs/packet. AllocsPerRun counts every goroutine's
-// allocations, so the router's reader is measured too.
+// forwarder (Workers: 1): one datagram on loopback through the socket read
+// (raw recvmsg and sockaddr decode on Linux), the AddrPort port lookup,
+// classification and admission, the engine (with the default metrics
+// recorder), and the egress send (raw sendto on Linux) must stay at 0
+// allocs/packet. AllocsPerRun counts every goroutine's allocations, so the
+// router's reader is measured too.
 func TestZeroAllocServeUDP(t *testing.T) {
 	state := NewNodeState()
 	state.FIB32.AddUint32(0x0A000000, 8, NextHop{Port: 1})
